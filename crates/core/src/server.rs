@@ -28,14 +28,14 @@
 //!
 //! Lock order is always id stripes (ascending) → minute shard; both
 //! acquisitions are short (no validation or hashing happens under a
-//! lock). Single submission takes one id stripe then the shard; batch
-//! submission ([`ViewMapServer::submit_batch`]) takes every stripe its
-//! minute group needs in ascending order, then the shard — one
-//! acquisition per (minute, batch) instead of per VP, which is where the
-//! batch path's throughput comes from. The `submit_batch_warm` variant
-//! additionally pre-hashes each VP's viewlink keys before committing, so
-//! investigations of freshly ingested minutes start with a warm key
-//! cache.
+//! lock). Every submit entry point commits through one batch path: it
+//! takes every stripe a minute group needs in ascending order, then the
+//! shard — one acquisition per (minute, batch) instead of per VP, which
+//! is where batch throughput comes from. A single submission is a batch
+//! of one. The warm variants (`submit_batch_warm`, the trusted and
+//! replay batches) additionally pre-hash each VP's viewlink keys before
+//! committing, so investigations of freshly ingested minutes start with
+//! a warm key cache.
 //!
 //! # Durability seam
 //!
@@ -100,7 +100,7 @@ pub enum SubmitError {
     SuspiciousBloom,
 }
 
-/// Lock-free admission screen shared by the single and batch paths.
+/// Lock-free admission screen run on every submitted VP before commit.
 fn screen(vp: &StoredVp) -> Result<(), SubmitError> {
     if vp.vds.len() != crate::types::SECONDS_PER_VP as usize
         || !vp.vds.windows(2).all(|w| w[0].time < w[1].time)
@@ -186,7 +186,8 @@ struct CoreMetrics {
     /// `vm_core_vps_evicted_total` / `vm_core_eviction_sweeps_total`.
     vps_evicted: Arc<Counter>,
     eviction_sweeps: Arc<Counter>,
-    /// `vm_core_batch_accepted_vps` — accepted VPs per batch-ingest call.
+    /// `vm_core_batch_accepted_vps` — accepted VPs per ingest call (a
+    /// single submit is a batch of one).
     batch_accepted: Arc<Histogram>,
     /// `vm_core_investigate_us` — full investigation pipeline latency
     /// (cold and maintained paths both record here).
@@ -365,15 +366,17 @@ impl ViewMapServer {
         self.key.public()
     }
 
-    /// Accept one anonymized VP submission into the database.
+    /// Accept one anonymized VP submission into the database: a batch
+    /// of one through the same commit path as
+    /// [`submit_batch`](Self::submit_batch).
     pub fn submit(&self, sub: AnonymousSubmission) -> Result<(), SubmitError> {
-        self.store(sub.vp)
+        self.store_one(sub.vp)
     }
 
     /// Accept a trusted VP through the authority channel.
     pub fn submit_trusted(&self, mut vp: StoredVp) -> Result<(), SubmitError> {
         vp.trusted = true;
-        self.store(vp)
+        self.store_one(vp)
     }
 
     /// Accept a batch of anonymized submissions in one call.
@@ -387,8 +390,8 @@ impl ViewMapServer {
     /// * validation and Bloom screening run before any lock is taken;
     /// * each id stripe and each minute shard is locked **once per
     ///   (minute, batch)** instead of once per VP (stripes in ascending
-    ///   order, then the shard — the same global order the single-submit
-    ///   path follows, so batches, singles, and readers never deadlock).
+    ///   order, then the shard — the global order every writer follows,
+    ///   so concurrent batches and readers never deadlock).
     ///
     /// A `VpId` that appears twice *within* the batch is first-wins: the
     /// first occurrence (if otherwise valid) is stored, later ones get
@@ -526,6 +529,13 @@ impl ViewMapServer {
         evicted
     }
 
+    fn store_one(&self, vp: StoredVp) -> Result<(), SubmitError> {
+        self.store_batch(vec![vp], false)
+            .pop()
+            .expect("one result per VP")
+    }
+
+    /// The one commit path: every submit entry point lands here.
     fn store_batch(&self, vps: Vec<StoredVp>, warm_keys: bool) -> Vec<Result<(), SubmitError>> {
         let total = vps.len();
         let mut results = vec![Ok(()); total];
@@ -581,9 +591,8 @@ impl ViewMapServer {
 
         // Commit one minute group at a time: every id stripe the group
         // touches, write-locked in ascending order, then the minute
-        // shard. Consistent with the single-submit lock order (one id
-        // stripe, then the shard), so concurrent batches and singles
-        // cannot deadlock; the index entry and the shard append still
+        // shard — the global lock order, so concurrent batches and
+        // sweeps cannot deadlock; the index entry and the shard append
         // commit under the same critical section.
         for (minute, group) in groups {
             let mut stripes: Vec<usize> = group.iter().map(|(_, vp)| id_stripe(&vp.id)).collect();
@@ -639,48 +648,6 @@ impl ViewMapServer {
         self.metrics.vps_rejected.add(total as u64 - stored);
         self.metrics.batch_accepted.record(stored);
         results
-    }
-
-    fn store(&self, vp: StoredVp) -> Result<(), SubmitError> {
-        let result = self.store_inner(vp);
-        match result {
-            Ok(()) => self.metrics.vps_stored.inc(),
-            Err(_) => self.metrics.vps_rejected.inc(),
-        }
-        result
-    }
-
-    fn store_inner(&self, vp: StoredVp) -> Result<(), SubmitError> {
-        screen(&vp)?;
-        let id = vp.id;
-        let minute = vp.minute();
-        // Lock order: id stripe, then minute shard. The index entry and
-        // the shard append commit together so readers through the index
-        // never observe a dangling slot.
-        let mut ids = self.id_index[id_stripe(&id)].write();
-        if ids.contains_key(&id) {
-            return Err(SubmitError::Duplicate);
-        }
-        let mut shard = self.db[minute_stripe(minute)].write();
-        let sh = &mut *shard;
-        let bucket = sh.by_minute.entry(minute).or_default();
-        let pos = bucket.len() as u32;
-        bucket.push(Arc::new(vp));
-        ids.insert(id, VpSlot { minute, pos });
-        // Mirror the accepted VP into the log before the shard lock is
-        // released, so log order equals bucket order within the minute.
-        if let Some(wal) = &self.wal {
-            wal.append(&[bucket[pos as usize].as_ref()])
-                .expect("WAL append failed; durable state would diverge");
-        }
-        // Keep the maintained viewlink graph (if any) mirroring the
-        // bucket under the same critical section.
-        if let Some(mv) = sh.maintained.get_mut(&minute) {
-            self.metrics
-                .maintained_splice_us
-                .time(|| mv.ingest(&bucket[pos as usize..]));
-        }
-        Ok(())
     }
 
     /// Fetch a VP by identifier: one id-stripe probe for the slot, one
@@ -769,8 +736,14 @@ impl ViewMapServer {
     /// Algorithm 1, and post the verified VP ids on the solicitation
     /// board. Returns the posted ids.
     pub fn investigate(&self, minute: MinuteId, site: Site) -> Vec<VpId> {
+        self.investigate_with(site, || self.build_viewmap(minute, site))
+    }
+
+    /// The investigation body both build paths share: build the viewmap
+    /// with `build`, verify it, and post the verified ids on the board.
+    fn investigate_with(&self, site: Site, build: impl FnOnce() -> Viewmap) -> Vec<VpId> {
         self.metrics.investigate_us.time(|| {
-            let vm = self.build_viewmap(minute, site);
+            let vm = build();
             let (_, ids, iterations) = vm.verify_counted(&site, &self.cfg);
             self.metrics.trustrank_iterations.record(iterations as u64);
             let mut board = self.solicited.write();
@@ -789,7 +762,7 @@ impl ViewMapServer {
     /// cold-build-priced pass, under the minute shard's write lock — it
     /// briefly blocks ingest for that one stripe). Every later call
     /// costs only the admission pass plus an index remap of the
-    /// already-maintained edges, because batch/single ingest splices new
+    /// already-maintained edges, because every ingest splices new
     /// members in as they commit and eviction drops the graph with its
     /// bucket. The result is **bit-identical** to
     /// [`build_viewmap`](Self::build_viewmap) of the same stored state —
@@ -837,16 +810,7 @@ impl ViewMapServer {
     /// viewlink graph: identical verdicts and board postings at
     /// incremental cost once the minute's graph exists.
     pub fn investigate_maintained(&self, minute: MinuteId, site: Site) -> Vec<VpId> {
-        self.metrics.investigate_us.time(|| {
-            let vm = self.build_viewmap_maintained(minute, site);
-            let (_, ids, iterations) = vm.verify_counted(&site, &self.cfg);
-            self.metrics.trustrank_iterations.record(iterations as u64);
-            let mut board = self.solicited.write();
-            for id in &ids {
-                board.insert(*id);
-            }
-            ids
-        })
+        self.investigate_with(site, || self.build_viewmap_maintained(minute, site))
     }
 
     /// Is a maintained viewlink graph currently alive for `minute`?
@@ -1052,7 +1016,7 @@ mod tests {
         let (fin, _) = record(5, 0.0);
         let mut vp = fin.profile.into_stored();
         vp.vds.truncate(10);
-        assert_eq!(srv.store(vp), Err(SubmitError::MalformedVds));
+        assert_eq!(srv.submit(submission(vp)), Err(SubmitError::MalformedVds));
     }
 
     #[test]
@@ -1063,7 +1027,10 @@ mod tests {
         let srv = server(40);
         let mut dup = synthetic_vp(1, 0);
         dup.vds[5].time = dup.vds[4].time;
-        assert_eq!(srv.store(dup.clone()), Err(SubmitError::MalformedVds));
+        assert_eq!(
+            srv.submit(submission(dup.clone())),
+            Err(SubmitError::MalformedVds)
+        );
         let mut reordered = synthetic_vp(2, 0);
         reordered.vds.swap(10, 11);
         let results = srv.submit_batch(vec![submission(reordered), submission(dup)]);
@@ -1083,7 +1050,10 @@ mod tests {
         let (fin, _) = record(7, 0.0);
         let mut vp = fin.profile.into_stored();
         vp.bloom = crate::bloom::BloomFilter::from_bytes(vec![0xff; 256], 8);
-        assert_eq!(srv.store(vp), Err(SubmitError::SuspiciousBloom));
+        assert_eq!(
+            srv.submit(submission(vp)),
+            Err(SubmitError::SuspiciousBloom)
+        );
     }
 
     #[test]
@@ -1091,7 +1061,7 @@ mod tests {
         let srv = server(8);
         let (fin, chunks) = record(9, 0.0);
         let id = fin.profile.id();
-        srv.store(fin.profile.into_stored()).unwrap();
+        srv.submit(submission(fin.profile.into_stored())).unwrap();
         let upload = VideoUpload { vp_id: id, chunks };
         assert_eq!(srv.upload_video(&upload), Err(UploadError::NotSolicited));
     }
@@ -1103,7 +1073,7 @@ mod tests {
         let (fin, _chunks) = record(12, 0.0);
         let vp_id = fin.profile.id();
         let secret = fin.secret;
-        srv.store(fin.profile.into_stored()).unwrap();
+        srv.submit(submission(fin.profile.into_stored())).unwrap();
 
         // Human review done: award 3 units.
         srv.post_reward(vp_id, 3);
@@ -1146,7 +1116,7 @@ mod tests {
         let (fin, _chunks) = record(51, 0.0);
         let vp_id = fin.profile.id();
         let secret = fin.secret;
-        srv.store(fin.profile.into_stored()).unwrap();
+        srv.submit(submission(fin.profile.into_stored())).unwrap();
         srv.post_reward(vp_id, 2);
 
         // Race T sessions claiming the same board entry: exactly one
@@ -1259,7 +1229,7 @@ mod tests {
             let (fin, chunks) = record_at(100 + m, m as f64, m * SECONDS_PER_VP);
             let id = fin.profile.id();
             assert_eq!(fin.profile.clone().into_stored().minute(), MinuteId(m));
-            srv.store(fin.profile.into_stored()).unwrap();
+            srv.submit(submission(fin.profile.into_stored())).unwrap();
             uploads.push(VideoUpload { vp_id: id, chunks });
         }
         assert_eq!(srv.total_vps(), 24);
@@ -1284,13 +1254,13 @@ mod tests {
         let (fin, chunks) = record(18, 0.0);
         let id = fin.profile.id();
         let first = fin.profile.clone().into_stored();
-        srv.store(first).unwrap();
+        srv.submit(submission(first)).unwrap();
 
         // A forged resubmission under the same id (different content) is
         // rejected and must not disturb the index entry.
         let mut forged = fin.profile.into_stored();
         forged.vds[0].loc.x += 999.0;
-        assert_eq!(srv.store(forged), Err(SubmitError::Duplicate));
+        assert_eq!(srv.submit(submission(forged)), Err(SubmitError::Duplicate));
         assert_eq!(srv.total_vps(), 1);
 
         let stored = srv.lookup_vp(id).expect("still indexed");
@@ -1314,7 +1284,7 @@ mod tests {
         let n: u64 = 10_500;
         for tag in 0..n {
             let minute = tag % 350;
-            srv.store(synthetic_vp(tag, minute)).unwrap();
+            srv.submit(submission(synthetic_vp(tag, minute))).unwrap();
         }
         assert_eq!(srv.total_vps(), n as usize);
         assert_eq!(srv.vp_count(MinuteId(0)), 30);
@@ -1375,8 +1345,8 @@ mod tests {
         let bat = server(30);
         // One VP pre-stored on both, so the batch hits a server-level dup.
         let pre = synthetic_vp(999, 2);
-        seq.store(pre.clone()).unwrap();
-        bat.store(pre.clone()).unwrap();
+        seq.submit(submission(pre.clone())).unwrap();
+        bat.submit(submission(pre.clone())).unwrap();
 
         let mut batch: Vec<StoredVp> = Vec::new();
         for tag in 0..40u64 {
@@ -1402,6 +1372,18 @@ mod tests {
         let minutes: Vec<u64> = (0..6).collect();
         let ids: Vec<VpId> = batch.iter().map(|vp| vp.id).collect();
         assert_same_state(&seq, &bat, &minutes, &ids);
+        // Singles and batches share one commit path, so they account
+        // accepts and rejects identically too.
+        let (s, b) = (seq.obs().snapshot(), bat.obs().snapshot());
+        for name in ["vm_core_vps_stored_total", "vm_core_vps_rejected_total"] {
+            assert_eq!(s.counter(name), b.counter(name), "{name}");
+        }
+        let ok = seq_results.iter().filter(|r| r.is_ok()).count() as u64;
+        assert_eq!(s.counter("vm_core_vps_stored_total"), Some(1 + ok));
+        assert_eq!(
+            s.counter("vm_core_vps_rejected_total"),
+            Some(batch.len() as u64 - ok)
+        );
     }
 
     #[test]
@@ -1509,7 +1491,8 @@ mod tests {
         let srv = server(50);
         for m in 0..6u64 {
             for tag in 0..4u64 {
-                srv.store(synthetic_vp(m * 10 + tag, m)).unwrap();
+                srv.submit(submission(synthetic_vp(m * 10 + tag, m)))
+                    .unwrap();
             }
         }
         assert_eq!(srv.total_vps(), 24);
@@ -1529,9 +1512,12 @@ mod tests {
 
         // Evicted ids are forgotten: the same id submits again (bounded
         // retention is exactly the operation that forgets ids)...
-        srv.store(synthetic_vp(0, 0)).unwrap();
+        srv.submit(submission(synthetic_vp(0, 0))).unwrap();
         // ...while retained ids still dedup.
-        assert_eq!(srv.store(synthetic_vp(43, 4)), Err(SubmitError::Duplicate));
+        assert_eq!(
+            srv.submit(submission(synthetic_vp(43, 4))),
+            Err(SubmitError::Duplicate)
+        );
         // Idempotent: nothing left below the cutoff.
         assert_eq!(srv.evict_minutes_before(MinuteId(0)), 0);
     }
@@ -1594,8 +1580,11 @@ mod tests {
         ];
         let results = srv.submit_batch(batch.iter().cloned().map(submission));
         assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 3);
-        srv.store(synthetic_vp(4, 0)).unwrap();
-        assert_eq!(srv.store(synthetic_vp(4, 0)), Err(SubmitError::Duplicate));
+        srv.submit(submission(synthetic_vp(4, 0))).unwrap();
+        assert_eq!(
+            srv.submit(submission(synthetic_vp(4, 0))),
+            Err(SubmitError::Duplicate)
+        );
 
         let log = wal.appended.lock().clone();
         assert_eq!(log.len(), 4, "exactly the accepted VPs are logged");
@@ -1624,8 +1613,8 @@ mod tests {
         let b = server(61);
         for m in 0..3u64 {
             for t in 0..4u64 {
-                a.store(synthetic_vp(m * 10 + t, m)).unwrap();
-                b.store(synthetic_vp(m * 10 + t, m)).unwrap();
+                a.submit(submission(synthetic_vp(m * 10 + t, m))).unwrap();
+                b.submit(submission(synthetic_vp(m * 10 + t, m))).unwrap();
             }
         }
         assert_eq!(
@@ -1642,7 +1631,7 @@ mod tests {
         let c = server(62);
         for m in 0..3u64 {
             for t in (0..4u64).rev() {
-                c.store(synthetic_vp(m * 10 + t, m)).unwrap();
+                c.submit(submission(synthetic_vp(m * 10 + t, m))).unwrap();
             }
         }
         assert_ne!(
@@ -1655,7 +1644,7 @@ mod tests {
         let d = server(63);
         for m in 0..2u64 {
             for t in 0..4u64 {
-                d.store(synthetic_vp(m * 10 + t, m)).unwrap();
+                d.submit(submission(synthetic_vp(m * 10 + t, m))).unwrap();
             }
         }
         assert_ne!(
@@ -1672,7 +1661,7 @@ mod tests {
                 if m == 1 && t == 2 {
                     vp.trusted = true;
                 }
-                e.store(vp).unwrap();
+                e.submit(submission(vp)).unwrap();
             }
         }
         assert_ne!(
@@ -1695,7 +1684,7 @@ mod tests {
         let srv = server(20);
         let (fin, _) = record(21, 0.0);
         let id = fin.profile.id();
-        srv.store(fin.profile.into_stored()).unwrap();
+        srv.submit(submission(fin.profile.into_stored())).unwrap();
         let vm = srv.build_viewmap(
             MinuteId(0),
             Site {

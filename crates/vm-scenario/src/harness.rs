@@ -10,88 +10,39 @@
 //! how the wire behaves (including behind the rural chaos proxy, whose
 //! fault mix is degraded-but-loss-free). The oracle — an in-process
 //! [`ViewMapServer`] fed exactly the accepted operations — must then
-//! match the served system bit for bit.
+//! match the served system bit for bit, by the equivalence check every
+//! scenario shares with vm-vopr ([`vm_vopr::kit::check_equivalence`]).
 
 use crate::catalog::Scenario;
 use crate::world::{attack_world, reward_world, sim_world, AttackSpec, SimWorld};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
-use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use viewmap_core::attack::lemma2_bound;
 use viewmap_core::server::ViewMapServer;
 use viewmap_core::solicit::VideoUpload;
-use viewmap_core::types::{MinuteId, VpId};
+use viewmap_core::types::{GeoPos, MinuteId, VpId};
 use viewmap_core::viewmap::{Site, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
 use viewmap_core::{reward::Wallet, trustrank};
 use vm_bench::worlds::viewmap_checksum;
-use vm_obs::Registry;
 use vm_service::proto::ErrorCode;
-use vm_service::{ClientConfig, ClientError, ServiceConfig, VmClient, VmService};
+use vm_service::{ClientConfig, ClientError, ServiceConfig, VmClient};
 use vm_sim::SimConfig;
 use vm_store::{PersistentServer, StoreConfig};
-use vm_vopr::{ChaosProxy, WireFaults};
-
-/// RSA modulus width for the non-reward scenarios (smallest accepted:
-/// they exercise ingest and investigation, not key strength).
-const KEY_BITS: usize = 64;
+use vm_vopr::kit::{
+    build_oracle, check_equivalence, check_wire_investigations, ensure, failure_telemetry, serve,
+    settle_submit, track_obs, Served, Settled, TempDir, KEY_BITS,
+};
+use vm_vopr::WireFaults;
 
 /// Modulus width for `redemption-storm`, which runs real blind
 /// signatures and redemptions.
 const REWARD_KEY_BITS: usize = 512;
 
-/// Cap on attempts for one op to settle before the run is wedged.
-const MAX_ATTEMPTS: usize = 50;
-
-macro_rules! ensure {
-    ($cond:expr, $($arg:tt)*) => {
-        // `if cond {} else { .. }` rather than `if !cond` so float
-        // comparisons at call sites don't trip neg_cmp_op_on_partial_ord.
-        if $cond {
-        } else {
-            return Err(format!($($arg)*));
-        }
-    };
-}
-
-thread_local! {
-    /// The most recently opened server's telemetry registry, kept so a
-    /// failing run can dump the final snapshot beside the repro line.
-    static LAST_OBS: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
-}
-
-fn track_obs(obs: &Arc<Registry>) {
-    LAST_OBS.with(|cell| *cell.borrow_mut() = Some(Arc::clone(obs)));
-}
-
-/// Journal events a failure report carries.
-const FAILURE_JOURNAL_TAIL: usize = 16;
-
-fn failure_telemetry() -> String {
-    LAST_OBS.with(|cell| {
-        let borrow = cell.borrow();
-        let Some(obs) = borrow.as_ref() else {
-            return String::new();
-        };
-        let mut out = String::from("\n--- metrics snapshot at failure ---\n");
-        out.push_str(&obs.snapshot().render_text());
-        out.push_str("--- journal tail ---\n");
-        let tail = obs.journal().tail(FAILURE_JOURNAL_TAIL);
-        if tail.is_empty() {
-            out.push_str("(no events)\n");
-        }
-        for event in tail {
-            out.push_str(&format!("{event}\n"));
-        }
-        out
-    })
-}
-
 /// What one seeded run did — counters for reporting, not assertions.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunReport {
     /// The scenario that ran.
     pub scenario: Scenario,
@@ -107,169 +58,13 @@ pub struct RunReport {
     pub note: String,
 }
 
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(scenario: Scenario, seed: u64) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "vm_scenario_{}_{}_{}",
-            scenario.name(),
-            seed,
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-enum Settled {
-    Accepted,
-    Present,
-}
-
-fn settle_submit(
-    client: &mut VmClient,
-    vp: &StoredVp,
-    retries: &mut usize,
-) -> Result<Settled, String> {
-    for _ in 0..MAX_ATTEMPTS {
-        match client.submit(vp) {
-            Ok(()) => return Ok(Settled::Accepted),
-            Err(ClientError::Remote(ErrorCode::Duplicate, _)) => return Ok(Settled::Present),
-            Err(ClientError::Remote(code, detail)) => {
-                return Err(format!("unexpected rejection {code}: {detail}"))
-            }
-            Err(_) => {
-                *retries += 1;
-                let _ = client.reconnect_with_backoff(5, Duration::from_millis(2));
-            }
-        }
-    }
-    Err(format!("submit of {:?} never settled", vp.id))
-}
-
-fn settle_investigate(
-    client: &mut VmClient,
-    minute: MinuteId,
-    site: Site,
-    retries: &mut usize,
-) -> Result<Vec<VpId>, String> {
-    for _ in 0..MAX_ATTEMPTS {
-        match client.investigate(minute, site) {
-            Ok(ids) => return Ok(ids),
-            Err(ClientError::Remote(code, detail)) => {
-                return Err(format!("investigation rejected {code}: {detail}"))
-            }
-            Err(_) => {
-                *retries += 1;
-                let _ = client.reconnect_with_backoff(5, Duration::from_millis(2));
-            }
-        }
-    }
-    Err(format!("investigation of {minute:?} never settled"))
-}
-
-/// A fresh in-process oracle holding exactly the given minutes, each
-/// replayed in accepted order with trusted flags preserved.
-fn build_oracle(
-    minutes: &[(MinuteId, &[StoredVp])],
-    key_bits: usize,
-    cfg: ViewmapConfig,
-) -> Result<ViewMapServer, String> {
-    let mut orng = StdRng::seed_from_u64(0xACE5);
-    let oracle = ViewMapServer::new(&mut orng, key_bits, cfg);
-    for (minute, vps) in minutes {
-        let results = oracle.submit_replay_batch(vps.to_vec());
-        ensure!(
-            results.iter().all(|r| r.is_ok()),
-            "oracle replay rejected a VP in {minute:?}: {results:?}"
-        );
-    }
-    Ok(oracle)
-}
-
-/// Assert `srv` and `oracle` are observably the same system over the
-/// given minutes, and that both systems' telemetry agrees with the
-/// state it describes (stored − evicted == resident).
-fn check_equivalence(
-    srv: &ViewMapServer,
-    oracle: &ViewMapServer,
-    minutes: &[MinuteId],
-    site: Site,
-    label: &str,
-) -> Result<(), String> {
-    ensure!(
-        srv.stored_minutes() == minutes,
-        "{label}: server minutes {:?}, expected {minutes:?}",
-        srv.stored_minutes()
-    );
-    ensure!(
-        oracle.stored_minutes() == minutes,
-        "{label}: oracle minutes {:?}",
-        oracle.stored_minutes()
-    );
-    ensure!(
-        srv.state_digest() == oracle.state_digest(),
-        "{label}: state digest diverged"
-    );
-    ensure!(
-        srv.total_vps() == oracle.total_vps(),
-        "{label}: total {} != oracle {}",
-        srv.total_vps(),
-        oracle.total_vps()
-    );
-    for &minute in minutes {
-        let s_ids: Vec<VpId> = srv.minute_vps(minute).iter().map(|vp| vp.id).collect();
-        let o_ids: Vec<VpId> = oracle.minute_vps(minute).iter().map(|vp| vp.id).collect();
-        ensure!(
-            s_ids == o_ids,
-            "{label}: bucket order diverged at {minute:?}"
-        );
-        ensure!(
-            viewmap_checksum(&srv.build_viewmap(minute, site))
-                == viewmap_checksum(&oracle.build_viewmap(minute, site)),
-            "{label}: viewmap checksum diverged at {minute:?}"
-        );
-        ensure!(
-            srv.investigate(minute, site) == oracle.investigate(minute, site),
-            "{label}: investigation diverged at {minute:?}"
-        );
-    }
-    ensure!(
-        srv.solicitation_board() == oracle.solicitation_board(),
-        "{label}: solicitation boards diverged"
-    );
-    for (who, side) in [("server", srv), ("oracle", oracle)] {
-        let snap = side.obs().snapshot();
-        let stored = snap.counter("vm_core_vps_stored_total").unwrap_or(0) as i64;
-        let evicted = snap.counter("vm_core_vps_evicted_total").unwrap_or(0) as i64;
-        ensure!(
-            stored - evicted == side.total_vps() as i64,
-            "{label}: {who} counters say {stored} stored - {evicted} evicted, \
-             but {} VPs are resident",
-            side.total_vps()
-        );
-    }
-    Ok(())
-}
-
-/// Everything a live scenario server needs: the durable cell, its wire
-/// front-end, the optional chaos proxy, and a connected client.
+/// Everything a live scenario server needs: the durable cell, its
+/// served front-end (optional chaos proxy and a connected client), and
+/// the store directory, removed once both are gone.
 struct Rig {
     srv: Arc<ViewMapServer>,
-    handle: vm_service::ServiceHandle,
-    /// Held for its Drop (kills the proxy thread); never read.
-    #[allow(dead_code)]
-    proxy: Option<ChaosProxy>,
-    client: VmClient,
-    #[allow(dead_code)]
-    tmp: TempDir,
+    served: Served,
+    _tmp: TempDir,
 }
 
 fn rig(
@@ -279,7 +74,7 @@ fn rig(
     faults: Option<WireFaults>,
     workers: usize,
 ) -> Result<Rig, String> {
-    let tmp = TempDir::new(scenario, seed);
+    let tmp = TempDir::new("vm_scenario", scenario.name(), seed);
     let mut srv_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let (srv, recovery) = ViewMapServer::open(
         &mut srv_rng,
@@ -296,80 +91,80 @@ fn rig(
         recovery.records
     );
     let srv = Arc::new(srv);
-    let handle = VmService::spawn(
-        Arc::clone(&srv),
-        "127.0.0.1:0",
+    let served = serve(
+        &srv,
         ServiceConfig {
             workers,
             ..ServiceConfig::default()
         },
-    )
-    .map_err(|e| format!("spawn service: {e}"))?;
-    let proxy = match faults {
-        Some(f) => Some(
-            ChaosProxy::spawn(handle.addr(), seed ^ 0xcafe, f)
-                .map_err(|e| format!("spawn proxy: {e}"))?,
-        ),
-        None => None,
-    };
-    let addr = proxy.as_ref().map_or(handle.addr(), |p| p.addr());
-    let client = VmClient::connect_with(
-        addr,
-        ClientConfig {
-            read_timeout: Some(Duration::from_secs(5)),
-            write_timeout: Some(Duration::from_secs(5)),
-            backoff_seed: Some(seed ^ 0xbac0_0ff5),
-        },
-    )
-    .map_err(|e| format!("connect: {e}"))?;
+        None,
+        faults.map(|f| (f, seed ^ 0xcafe)),
+        seed ^ 0xbac0_0ff5,
+    )?;
     Ok(Rig {
         srv,
-        handle,
-        proxy,
-        client,
-        tmp,
+        served,
+        _tmp: tmp,
     })
 }
 
 impl Rig {
-    /// Anchor each minute in-process (authority channel), then drive
-    /// the rest of the population over the wire in order.
-    fn drive_world(&mut self, world: &SimWorld, report: &mut RunReport) -> Result<(), String> {
-        for mw in &world.minutes {
-            let r = self.srv.submit_trusted(mw.vps[0].clone());
-            ensure!(r.is_ok(), "anchor rejected: {r:?}");
-        }
-        for mw in &world.minutes {
-            for vp in &mw.vps[1..] {
-                match settle_submit(&mut self.client, vp, &mut report.retries)? {
-                    Settled::Accepted => {}
-                    Settled::Present => {
-                        return Err(format!("fresh VP {:?} reported as duplicate", vp.id))
-                    }
-                }
-                report.ops += 1;
-            }
-        }
+    /// Accept `vp` in-process through the authority channel.
+    fn anchor(&self, vp: &StoredVp) -> Result<(), String> {
+        let r = self.srv.submit_trusted(vp.clone());
+        ensure!(r.is_ok(), "anchor rejected: {r:?}");
         Ok(())
     }
 
-    /// Wire investigations vs the oracle for every listed minute.
-    fn check_wire_investigations(
-        &mut self,
-        oracle: &ViewMapServer,
-        minutes: &[MinuteId],
-        site: Site,
-        report: &mut RunReport,
-    ) -> Result<(), String> {
-        for &minute in minutes {
-            let ids = settle_investigate(&mut self.client, minute, site, &mut report.retries)?;
+    /// Submit `vps` over the wire in order; every one is new, so each
+    /// must settle as accepted.
+    fn submit_fresh(&mut self, vps: &[StoredVp], report: &mut RunReport) -> Result<(), String> {
+        for vp in vps {
             ensure!(
-                ids == oracle.investigate(minute, site),
-                "wire investigation diverged at {minute:?}"
+                matches!(
+                    settle_submit(&mut self.served.client, vp, &mut report.retries)?,
+                    Settled::Accepted
+                ),
+                "fresh VP {:?} reported as duplicate",
+                vp.id
             );
             report.ops += 1;
         }
         Ok(())
+    }
+
+    /// Anchor each minute in-process, then drive the rest of the
+    /// population over the wire in order.
+    fn drive_world(&mut self, world: &SimWorld, report: &mut RunReport) -> Result<(), String> {
+        for mw in &world.minutes {
+            self.anchor(&mw.vps[0])?;
+        }
+        for mw in &world.minutes {
+            self.submit_fresh(&mw.vps[1..], report)?;
+        }
+        Ok(())
+    }
+
+    /// Build an oracle fed `minutes`, hold the wire's investigations at
+    /// `site` to it, then hold the served server to it.
+    fn check_oracle(
+        &mut self,
+        minutes: &[(MinuteId, &[StoredVp])],
+        site: Site,
+        label: &str,
+        report: &mut RunReport,
+    ) -> Result<(), String> {
+        let oracle = build_oracle(minutes, KEY_BITS, ViewmapConfig::default())?;
+        let ids: Vec<MinuteId> = minutes.iter().map(|&(minute, _)| minute).collect();
+        report.ops += check_wire_investigations(
+            &mut self.served.client,
+            &oracle,
+            &ids,
+            site,
+            label,
+            &mut report.retries,
+        )?;
+        check_equivalence(&self.srv, &oracle, &ids, site, label)
     }
 }
 
@@ -429,10 +224,7 @@ fn run_rush_hour(seed: u64, report: &mut RunReport) -> Result<(), String> {
     let mut rig = rig(Scenario::RushHour, seed, KEY_BITS, None, 2)?;
     rig.drive_world(&world, report)?;
 
-    let oracle = build_oracle(&oracle_minutes(&world), KEY_BITS, ViewmapConfig::default())?;
-    let minutes = minute_ids(&world);
-    rig.check_wire_investigations(&oracle, &minutes, world.site, report)?;
-    check_equivalence(&rig.srv, &oracle, &minutes, world.site, "rush-hour")?;
+    rig.check_oracle(&oracle_minutes(&world), world.site, "rush-hour", report)?;
 
     // Edge blowup: every VP of the platoon is a member, and witnessing
     // density makes edges outnumber members.
@@ -490,10 +282,7 @@ fn run_rural_sparse(seed: u64, report: &mut RunReport) -> Result<(), String> {
     )?;
     rig.drive_world(&world, report)?;
 
-    let oracle = build_oracle(&oracle_minutes(&world), KEY_BITS, ViewmapConfig::default())?;
-    let minutes = minute_ids(&world);
-    rig.check_wire_investigations(&oracle, &minutes, world.site, report)?;
-    check_equivalence(&rig.srv, &oracle, &minutes, world.site, "rural-sparse")?;
+    rig.check_oracle(&oracle_minutes(&world), world.site, "rural-sparse", report)?;
 
     // Linkage starvation: sparse witnessing, and at least one isolated
     // member somewhere (no viewlink at all).
@@ -556,10 +345,8 @@ fn run_retention_churn(seed: u64, report: &mut RunReport) -> Result<(), String> 
     let mut rig = rig(Scenario::RetentionChurn, seed, KEY_BITS, None, 2)?;
     rig.drive_world(&world, report)?;
 
-    let oracle = build_oracle(&oracle_minutes(&world), KEY_BITS, ViewmapConfig::default())?;
+    rig.check_oracle(&oracle_minutes(&world), world.site, "pre-churn", report)?;
     let minutes = minute_ids(&world);
-    rig.check_wire_investigations(&oracle, &minutes, world.site, report)?;
-    check_equivalence(&rig.srv, &oracle, &minutes, world.site, "pre-churn")?;
 
     // Materialize a maintained graph per minute so the sweeps actually
     // have live incremental state to invalidate.
@@ -673,29 +460,15 @@ fn run_sybil(seed: u64, report: &mut RunReport, aimed: bool) -> Result<(), Strin
 
     // Anchor, then everything — honest, attacker, and fake VPs — over
     // the wire like any anonymous upload.
-    let r = rig.srv.submit_trusted(world.vps[0].clone());
-    ensure!(r.is_ok(), "anchor rejected: {r:?}");
-    for vp in &world.vps[1..] {
-        match settle_submit(&mut rig.client, vp, &mut report.retries)? {
-            Settled::Accepted => {}
-            Settled::Present => return Err(format!("fresh VP {:?} deduplicated", vp.id)),
-        }
-        report.ops += 1;
-    }
+    rig.anchor(&world.vps[0])?;
+    rig.submit_fresh(&world.vps[1..], report)?;
 
     let minute = MinuteId(0);
-    let oracle = build_oracle(
+    rig.check_oracle(
         &[(minute, world.vps.as_slice())],
-        KEY_BITS,
-        ViewmapConfig::default(),
-    )?;
-    rig.check_wire_investigations(&oracle, &[minute], world.wide_site, report)?;
-    check_equivalence(
-        &rig.srv,
-        &oracle,
-        &[minute],
         world.wide_site,
         scenario.name(),
+        report,
     )?;
 
     // The bound: build the server's own viewmap over everything, score
@@ -789,23 +562,19 @@ fn run_redemption_storm(seed: u64, report: &mut RunReport) -> Result<(), String>
     )?;
 
     // Ingest the recordings (anchor in-process, rest over the wire).
-    let r = rig.srv.submit_trusted(recordings[0].vp.clone());
-    ensure!(r.is_ok(), "anchor rejected: {r:?}");
-    for rec in &recordings[1..] {
-        match settle_submit(&mut rig.client, &rec.vp, &mut report.retries)? {
-            Settled::Accepted => {}
-            Settled::Present => return Err(format!("fresh VP {:?} deduplicated", rec.vp.id)),
-        }
-        report.ops += 1;
-    }
+    let vps: Vec<StoredVp> = recordings.iter().map(|r| r.vp.clone()).collect();
+    rig.anchor(&vps[0])?;
+    rig.submit_fresh(&vps[1..], report)?;
 
     // One solicited upload end to end: the vision-crate chunks must
     // validate against the VD cascade over the wire.
     let sample = &recordings[1];
-    rig.client
+    rig.served
+        .client
         .solicit(sample.vp.id)
         .map_err(|e| format!("solicit: {e}"))?;
-    rig.client
+    rig.served
+        .client
         .upload_video(&VideoUpload {
             vp_id: sample.vp.id,
             chunks: sample.chunks.clone(),
@@ -819,7 +588,7 @@ fn run_redemption_storm(seed: u64, report: &mut RunReport) -> Result<(), String>
     }
 
     // The storm: SESSIONS concurrent wire clients race every claim.
-    let addr = rig.handle.addr();
+    let addr = rig.served.handle.addr();
     let pk = rig.srv.public_key().clone();
     let barrier = Arc::new(Barrier::new(SESSIONS));
     let mut handles = Vec::new();
@@ -964,16 +733,26 @@ fn run_redemption_storm(seed: u64, report: &mut RunReport) -> Result<(), String>
     );
 
     // The storm must not have perturbed the stored state: equivalence
-    // against an oracle fed the same ingest.
-    let world: Vec<StoredVp> = recordings.iter().map(|r| r.vp.clone()).collect();
-    let mut oracle_world = world.clone();
-    oracle_world[0].trusted = true;
+    // against an oracle fed the same ingest and the run's one wire
+    // solicitation, investigated at a site that admits every recording.
+    let minute = MinuteId(0);
     let oracle = build_oracle(
-        &[(MinuteId(0), oracle_world.as_slice())],
-        REWARD_KEY_BITS,
+        &[(minute, vps.as_slice())],
+        KEY_BITS,
         ViewmapConfig::default(),
     )?;
-    check_equivalence_reward(&rig.srv, &oracle, sample.vp.id)?;
+    oracle.solicit(sample.vp.id);
+    let site = Site {
+        center: GeoPos::new(1_300.0, 200.0),
+        radius_m: 100_000.0,
+    };
+    let admitted = rig.srv.build_viewmap(minute, site).len();
+    ensure!(
+        admitted == vps.len(),
+        "storm site admitted {admitted} of {} recordings",
+        vps.len()
+    );
+    check_equivalence(&rig.srv, &oracle, &[minute], site, "storm")?;
 
     report.final_vps = rig.srv.total_vps();
     report.note = format!(
@@ -982,49 +761,5 @@ fn run_redemption_storm(seed: u64, report: &mut RunReport) -> Result<(), String>
         all_cash.len(),
         all_cash.len() * (SESSIONS - 1)
     );
-    Ok(())
-}
-
-/// Reward-scenario equivalence: stored state identical, modulo the
-/// solicitation this run itself performed over the wire.
-fn check_equivalence_reward(
-    srv: &ViewMapServer,
-    oracle: &ViewMapServer,
-    solicited: VpId,
-) -> Result<(), String> {
-    let minutes = [MinuteId(0)];
-    ensure!(
-        srv.stored_minutes() == minutes,
-        "storm: server minutes {:?}",
-        srv.stored_minutes()
-    );
-    ensure!(
-        srv.state_digest() == oracle.state_digest(),
-        "storm: state digest diverged"
-    );
-    ensure!(
-        srv.total_vps() == oracle.total_vps(),
-        "storm: totals diverged"
-    );
-    for &minute in &minutes {
-        let s_ids: Vec<VpId> = srv.minute_vps(minute).iter().map(|vp| vp.id).collect();
-        let o_ids: Vec<VpId> = oracle.minute_vps(minute).iter().map(|vp| vp.id).collect();
-        ensure!(s_ids == o_ids, "storm: bucket order diverged at {minute:?}");
-    }
-    // The wire solicitation is the only board difference.
-    ensure!(
-        srv.solicitation_board() == vec![solicited],
-        "storm: unexpected solicitation board {:?}",
-        srv.solicitation_board()
-    );
-    for (who, side) in [("server", srv), ("oracle", oracle)] {
-        let snap = side.obs().snapshot();
-        let stored = snap.counter("vm_core_vps_stored_total").unwrap_or(0) as i64;
-        let evicted = snap.counter("vm_core_vps_evicted_total").unwrap_or(0) as i64;
-        ensure!(
-            stored - evicted == side.total_vps() as i64,
-            "storm: {who} telemetry disagrees with resident state"
-        );
-    }
     Ok(())
 }

@@ -15,13 +15,15 @@
 //! and the oracle — an in-process [`ViewMapServer`] fed exactly the
 //! accepted operations — must match bit for bit.
 
+use crate::kit::{
+    build_oracle, check_equivalence, check_wire_investigations, ensure, failure_telemetry,
+    reopen_clean, serve, settle_submit, track_obs, Served, Settled, TempDir, KEY_BITS,
+};
 use crate::proxy::ChaosProxy;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
-use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use viewmap_core::server::ViewMapServer;
@@ -31,15 +33,10 @@ use viewmap_core::viewmap::{Site, ViewmapConfig};
 use viewmap_core::vp::StoredVp;
 use vm_bench::worlds::{linked_minute, viewmap_checksum};
 use vm_crypto::RsaKeyPair;
-use vm_obs::Registry;
 use vm_repl::{Follower, FollowerConfig, Primary, ReplicationConfig};
 use vm_service::proto::ErrorCode;
-use vm_service::{ClientConfig, ClientError, ServiceConfig, VmClient, VmService};
+use vm_service::{ClientError, ServiceConfig, VmClient};
 use vm_store::{fault, PersistentServer, StoreConfig};
-
-/// RSA modulus width for harness servers: the smallest the crypto layer
-/// accepts, because vopr measures fault tolerance, not key strength.
-const KEY_BITS: usize = 64;
 
 /// Modulus width for the replicated scenarios, whose failover check
 /// runs a real blind-signature reward round across the promotion.
@@ -49,58 +46,6 @@ const REPL_KEY_BITS: usize = 512;
 /// wedged. Generous: convergence is normally milliseconds, but a
 /// chaotic replication link can force several backoff-spaced resyncs.
 const CONVERGE_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Cap on attempts for one op to settle before the run is declared
-/// wedged (generous: the fault rates leave each attempt likely to
-/// succeed).
-const MAX_ATTEMPTS: usize = 50;
-
-macro_rules! ensure {
-    ($cond:expr, $($arg:tt)*) => {
-        if !$cond {
-            return Err(format!($($arg)*));
-        }
-    };
-}
-
-thread_local! {
-    /// The most recently opened server's telemetry registry. A registry
-    /// outlives its server (it is `Arc`'d), so a failing run can dump
-    /// the final metrics snapshot and journal tail beside the repro
-    /// line even after the server under test has been torn down.
-    static LAST_OBS: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
-}
-
-/// Remember `obs` as the registry a failure report should dump.
-fn track_obs(obs: &Arc<Registry>) {
-    LAST_OBS.with(|cell| *cell.borrow_mut() = Some(Arc::clone(obs)));
-}
-
-/// How many journal events a failure report carries.
-const FAILURE_JOURNAL_TAIL: usize = 16;
-
-/// The telemetry appendix for a failed run: the tracked registry's
-/// full text snapshot plus the last few journal events. Empty when no
-/// server ever opened (the failure predates any telemetry).
-fn failure_telemetry() -> String {
-    LAST_OBS.with(|cell| {
-        let borrow = cell.borrow();
-        let Some(obs) = borrow.as_ref() else {
-            return String::new();
-        };
-        let mut out = String::from("\n--- metrics snapshot at failure ---\n");
-        out.push_str(&obs.snapshot().render_text());
-        out.push_str("--- journal tail ---\n");
-        let tail = obs.journal().tail(FAILURE_JOURNAL_TAIL);
-        if tail.is_empty() {
-            out.push_str("(no events)\n");
-        }
-        for event in tail {
-            out.push_str(&format!("{event}\n"));
-        }
-        out
-    })
-}
 
 /// What one seeded run did — counters for reporting, not assertions
 /// (all assertions live inside [`run_seed`] and fail the run).
@@ -133,27 +78,6 @@ struct InjuryExpect {
     truncated_bytes: u64,
 }
 
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(scenario: Scenario, seed: u64) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "vm_vopr_{}_{}_{}",
-            scenario.name(),
-            seed,
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// The investigation site every check uses: covers the whole linked
 /// world (vehicles sit at `x < ~2.5 km`, `y = 10·minute`).
 fn site() -> Site {
@@ -163,163 +87,128 @@ fn site() -> Site {
     }
 }
 
-enum Settled {
-    /// The service accepted the op on this settle.
-    Accepted,
-    /// The service reports the op already present (a re-drive, or a
-    /// retry whose earlier attempt was accepted but its reply lost).
-    Present,
+/// The seeded plan every scenario starts from: 2–3 linked minutes of
+/// 5–9 VPs (index 0 of each is the minute's trusted anchor) and a
+/// round-robin op schedule over the rest, so crash points land across
+/// minutes. `rng` continues the plan stream for the scenario's own
+/// draws (generations, crash points, reward secrets).
+struct Plan {
+    rng: StdRng,
+    world: Vec<Vec<StoredVp>>,
+    schedule: Vec<(usize, usize)>,
+    minutes: Vec<MinuteId>,
 }
 
-fn settle_submit(
-    client: &mut VmClient,
-    vp: &StoredVp,
-    retries: &mut usize,
-) -> Result<Settled, String> {
-    for _ in 0..MAX_ATTEMPTS {
-        match client.submit(vp) {
-            Ok(()) => return Ok(Settled::Accepted),
-            Err(ClientError::Remote(ErrorCode::Duplicate, _)) => return Ok(Settled::Present),
-            Err(ClientError::Remote(code, detail)) => {
-                return Err(format!("unexpected rejection {code}: {detail}"))
-            }
-            Err(_) => {
-                *retries += 1;
-                let _ = client.reconnect_with_backoff(5, Duration::from_millis(2));
+impl Plan {
+    fn new(seed: u64) -> Plan {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let minutes = rng.gen_range(2..=3usize);
+        let world: Vec<Vec<StoredVp>> = (0..minutes)
+            .map(|m| linked_minute(rng.gen_range(5..=9), m as u64, seed))
+            .collect();
+        let mut schedule: Vec<(usize, usize)> = Vec::new();
+        let widest = world.iter().map(Vec::len).max().unwrap_or(0);
+        for i in 1..widest {
+            for (m, minute_world) in world.iter().enumerate() {
+                if i < minute_world.len() {
+                    schedule.push((m, i));
+                }
             }
         }
-    }
-    Err(format!("submit of {:?} never settled", vp.id))
-}
-
-fn settle_investigate(
-    client: &mut VmClient,
-    minute: MinuteId,
-    retries: &mut usize,
-) -> Result<Vec<VpId>, String> {
-    for _ in 0..MAX_ATTEMPTS {
-        match client.investigate(minute, site()) {
-            Ok(ids) => return Ok(ids),
-            Err(ClientError::Remote(code, detail)) => {
-                return Err(format!("investigation rejected {code}: {detail}"))
-            }
-            Err(_) => {
-                *retries += 1;
-                let _ = client.reconnect_with_backoff(5, Duration::from_millis(2));
-            }
+        Plan {
+            rng,
+            world,
+            schedule,
+            minutes: (0..minutes as u64).map(MinuteId).collect(),
         }
     }
-    Err(format!("investigation of {minute:?} never settled"))
+
+    /// Each minute's anchor followed by its accepted ops, in order.
+    fn accepted_vps(&self, accepted: &[Vec<usize>]) -> Vec<Vec<StoredVp>> {
+        self.world
+            .iter()
+            .zip(accepted)
+            .map(|(w, acc)| {
+                std::iter::once(&w[0])
+                    .chain(acc.iter().map(|&i| &w[i]))
+                    .cloned()
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A fresh oracle fed exactly the accepted operations.
+    fn oracle(&self, accepted: &[Vec<usize>]) -> Result<ViewMapServer, String> {
+        let vps = self.accepted_vps(accepted);
+        let minutes: Vec<(MinuteId, &[StoredVp])> = self
+            .minutes
+            .iter()
+            .zip(&vps)
+            .map(|(&minute, v)| (minute, v.as_slice()))
+            .collect();
+        build_oracle(&minutes, KEY_BITS, ViewmapConfig::default())
+    }
+
+    /// Every bucket of `srv` must be exactly its minute's anchor plus
+    /// the accepted ops, in accepted order.
+    fn ensure_prefix(
+        &self,
+        srv: &ViewMapServer,
+        accepted: &[Vec<usize>],
+        label: &str,
+    ) -> Result<(), String> {
+        for (m, want) in self.accepted_vps(accepted).iter().enumerate() {
+            let ids: Vec<VpId> = srv
+                .minute_vps(self.minutes[m])
+                .iter()
+                .map(|vp| vp.id)
+                .collect();
+            let want: Vec<VpId> = want.iter().map(|vp| vp.id).collect();
+            ensure!(
+                ids == want,
+                "{label}: minute {m} is not the anchor plus the accepted prefix"
+            );
+        }
+        Ok(())
+    }
 }
 
-/// Build a fresh in-process oracle holding exactly `anchor +
-/// accepted[m]` per minute, in accepted order, with trusted flags
-/// preserved (replay ingest).
-fn build_oracle(
+/// Log records a store holds for `accepted`: one anchor per minute plus
+/// every accepted op.
+fn records(accepted: &[Vec<usize>]) -> usize {
+    accepted.iter().map(|a| 1 + a.len()).sum()
+}
+
+/// Settle op `(m, i)` over the wire and record it. It counts as newly
+/// accepted unless it was already present before this op; `Present`
+/// for an absent op means an earlier attempt of *this* op was accepted
+/// but its reply lost. With `exact` (no wire faults) outcomes carry no
+/// such ambiguity: survivors dedup, lost ops re-accept.
+fn settle_and_record(
+    client: &mut VmClient,
     world: &[Vec<StoredVp>],
-    accepted: &[Vec<usize>],
-    cfg: ViewmapConfig,
-) -> Result<ViewMapServer, String> {
-    let mut orng = StdRng::seed_from_u64(0xACE5);
-    let oracle = ViewMapServer::new(&mut orng, KEY_BITS, cfg);
-    for (m, minute_world) in world.iter().enumerate() {
-        let mut batch = vec![minute_world[0].clone()];
-        batch.extend(accepted[m].iter().map(|&i| minute_world[i].clone()));
-        let results = oracle.submit_replay_batch(batch);
-        ensure!(
-            results.iter().all(|r| r.is_ok()),
-            "oracle replay rejected a VP in minute {m}: {results:?}"
-        );
-    }
-    Ok(oracle)
-}
-
-/// Assert `srv` and `oracle` are observably the same system: minutes,
-/// digest, bucket orders, viewmap topology, TrustRank outcomes, index
-/// routing, and (after the investigations this check runs itself) the
-/// solicitation board.
-fn check_equivalence(
-    srv: &ViewMapServer,
-    oracle: &ViewMapServer,
-    minutes: usize,
-    label: &str,
+    (m, i): (usize, usize),
+    accepted: &mut [Vec<usize>],
+    report: &mut RunReport,
+    exact: bool,
 ) -> Result<(), String> {
-    let want_minutes: Vec<MinuteId> = (0..minutes as u64).map(MinuteId).collect();
-    ensure!(
-        srv.stored_minutes() == want_minutes,
-        "{label}: server minutes {:?}",
-        srv.stored_minutes()
+    let was_present = accepted[m].contains(&i);
+    let fresh = matches!(
+        settle_submit(client, &world[m][i], &mut report.retries)?,
+        Settled::Accepted
     );
     ensure!(
-        oracle.stored_minutes() == want_minutes,
-        "{label}: oracle minutes {:?}",
-        oracle.stored_minutes()
+        !(fresh && was_present),
+        "service re-accepted a stored VP ({m},{i})"
     );
     ensure!(
-        srv.state_digest() == oracle.state_digest(),
-        "{label}: state digest diverged"
+        fresh || was_present || !exact,
+        "op ({m},{i}): settled Present but was not present"
     );
-    ensure!(
-        srv.total_vps() == oracle.total_vps(),
-        "{label}: total {} != oracle {}",
-        srv.total_vps(),
-        oracle.total_vps()
-    );
-    for &minute in &want_minutes {
-        let s_ids: Vec<VpId> = srv.minute_vps(minute).iter().map(|vp| vp.id).collect();
-        let o_ids: Vec<VpId> = oracle.minute_vps(minute).iter().map(|vp| vp.id).collect();
-        ensure!(
-            s_ids == o_ids,
-            "{label}: bucket order diverged at {minute:?}"
-        );
-        ensure!(
-            viewmap_checksum(&srv.build_viewmap(minute, site()))
-                == viewmap_checksum(&oracle.build_viewmap(minute, site())),
-            "{label}: viewmap checksum diverged at {minute:?}"
-        );
-        ensure!(
-            srv.investigate(minute, site()) == oracle.investigate(minute, site()),
-            "{label}: investigation diverged at {minute:?}"
-        );
-        for id in s_ids {
-            ensure!(
-                srv.lookup_vp(id).map(|vp| vp.id) == Some(id),
-                "{label}: server index lost {id:?}"
-            );
-            ensure!(
-                oracle.lookup_vp(id).map(|vp| vp.id) == Some(id),
-                "{label}: oracle index lost {id:?}"
-            );
-        }
+    if !was_present {
+        accepted[m].push(i);
     }
-    ensure!(
-        srv.solicitation_board() == oracle.solicitation_board(),
-        "{label}: solicitation boards diverged"
-    );
-    // Telemetry must agree with the state it describes: stored minus
-    // evicted VPs equals what is resident — on both sides, and both
-    // sides equal. Registries are recreated at every reopen and replay
-    // re-counts through the same ingest path, so this invariant holds
-    // across crash/recovery too.
-    let mut counted = [0i64; 2];
-    for (slot, (who, side)) in [("server", srv), ("oracle", oracle)].iter().enumerate() {
-        let snap = side.obs().snapshot();
-        let stored = snap.counter("vm_core_vps_stored_total").unwrap_or(0) as i64;
-        let evicted = snap.counter("vm_core_vps_evicted_total").unwrap_or(0) as i64;
-        counted[slot] = stored - evicted;
-        ensure!(
-            stored - evicted == side.total_vps() as i64,
-            "{label}: {who} counters say {stored} stored - {evicted} evicted, \
-             but {} VPs are resident",
-            side.total_vps()
-        );
-    }
-    ensure!(
-        counted[0] == counted[1],
-        "{label}: counter-derived VP totals diverged: server {} vs oracle {}",
-        counted[0],
-        counted[1]
-    );
+    report.ops += 1;
     Ok(())
 }
 
@@ -331,7 +220,6 @@ fn injure(
     dir: &Path,
     scenario: Scenario,
     accepted: &mut [Vec<usize>],
-    present: &mut [HashSet<usize>],
     rng: &mut StdRng,
 ) -> Result<InjuryExpect, String> {
     let candidates: Vec<usize> = (0..accepted.len())
@@ -359,7 +247,6 @@ fn injure(
     };
     fault::tear_at(&path, cut + partial).map_err(|e| format!("tearing {path:?}: {e}"))?;
     accepted[m].truncate(accepted[m].len() - k);
-    present[m] = accepted[m].iter().copied().collect();
     Ok(InjuryExpect {
         torn_segments: usize::from(partial > 0),
         truncated_bytes: partial,
@@ -387,31 +274,16 @@ pub fn run_seed(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
 }
 
 fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
-    let tmp = TempDir::new(scenario, seed);
+    let tmp = TempDir::new("vm_vopr", scenario.name(), seed);
     let vmcfg = ViewmapConfig::default();
     let store_cfg = StoreConfig::default();
 
     // ── The seeded plan: world, schedule, generation count. ──────────
-    let mut plan_rng = StdRng::seed_from_u64(seed);
-    let minutes = plan_rng.gen_range(2..=3usize);
-    let world: Vec<Vec<StoredVp>> = (0..minutes)
-        .map(|m| linked_minute(plan_rng.gen_range(5..=9), m as u64, seed))
-        .collect();
-    // Round-robin interleave so crash points land across minutes.
-    let mut schedule: Vec<(usize, usize)> = Vec::new();
-    let widest = world.iter().map(Vec::len).max().unwrap_or(0);
-    for i in 1..widest {
-        for (m, minute_world) in world.iter().enumerate() {
-            if i < minute_world.len() {
-                schedule.push((m, i));
-            }
-        }
-    }
-    let generations = scenario.generations(&mut plan_rng);
+    let mut plan = Plan::new(seed);
+    let generations = scenario.generations(&mut plan.rng);
     let mut nap_rng = StdRng::seed_from_u64(seed ^ 0x6e61_7073); // gray naps
 
-    let mut accepted: Vec<Vec<usize>> = vec![Vec::new(); minutes];
-    let mut present: Vec<HashSet<usize>> = vec![HashSet::new(); minutes];
+    let mut accepted: Vec<Vec<usize>> = vec![Vec::new(); plan.world.len()];
     let mut pending = InjuryExpect::default();
     let mut report = RunReport {
         scenario,
@@ -433,11 +305,7 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
         track_obs(srv.obs());
 
         // ── Recovery must report exactly the injury. ─────────────────
-        let want_records: usize = if gen == 0 {
-            0
-        } else {
-            accepted.iter().map(|a| 1 + a.len()).sum()
-        };
+        let want_records = if gen == 0 { 0 } else { records(&accepted) };
         ensure!(
             recovery.records == want_records,
             "gen {gen}: recovered {} records, expected {want_records}",
@@ -471,7 +339,7 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
         // ── Anchors (authority surface, in-process). The first boot
         //    accepts them; every later generation must already hold
         //    them (tail injuries never reach frame 0). ────────────────
-        for (m, minute_world) in world.iter().enumerate() {
+        for (m, minute_world) in plan.world.iter().enumerate() {
             let r = srv
                 .submit_trusted(minute_world[0].clone())
                 .map_err(ErrorCode::from);
@@ -488,30 +356,17 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
         // ── Post-crash: the recovered state must equal an oracle fed
         //    the surviving accepted ops. ──────────────────────────────
         if gen > 0 {
-            for (m, minute_world) in world.iter().enumerate() {
-                let ids: Vec<VpId> = srv
-                    .minute_vps(MinuteId(m as u64))
-                    .iter()
-                    .map(|vp| vp.id)
-                    .collect();
-                let want: Vec<VpId> = std::iter::once(minute_world[0].id)
-                    .chain(accepted[m].iter().map(|&i| minute_world[i].id))
-                    .collect();
-                ensure!(
-                    ids == want,
-                    "gen {gen}: minute {m} survivors are not the accepted prefix"
-                );
-            }
-            let oracle = build_oracle(&world, &accepted, vmcfg)?;
-            check_equivalence(&srv, &oracle, minutes, &format!("post-crash gen {gen}"))?;
+            let label = format!("post-crash gen {gen}");
+            plan.ensure_prefix(&srv, &accepted, &label)?;
+            let oracle = plan.oracle(&accepted)?;
+            check_equivalence(&srv, &oracle, &plan.minutes, site(), &label)?;
             if matches!(scenario, Scenario::Churn) {
                 // Recovery must never trust maintained state stale: a
                 // reopened server starts with no maintained graphs
                 // (they are in-memory splices of a dead process), and
                 // the first maintained investigation of each minute
                 // must rebuild one that equals the oracle's cold build.
-                for m in 0..minutes {
-                    let minute = MinuteId(m as u64);
+                for &minute in &plan.minutes {
                     ensure!(
                         !srv.has_maintained(minute),
                         "gen {gen}: recovered server holds a maintained graph for {minute:?}"
@@ -527,92 +382,59 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
 
         // ── Serve and drive the (re-driven) op schedule. ─────────────
         let srv = Arc::new(srv);
-        let handle = VmService::spawn(
-            Arc::clone(&srv),
-            "127.0.0.1:0",
+        let mut served = serve(
+            &srv,
             ServiceConfig {
                 workers: 2,
                 idle_timeout: matches!(scenario, Scenario::Gray).then(|| Duration::from_millis(30)),
                 ..ServiceConfig::default()
             },
+            None,
+            scenario
+                .wire_faults()
+                .map(|faults| (faults, seed ^ ((gen as u64) << 48))),
+            // Pin the jitter stream: the whole run replays by seed.
+            seed ^ 0xbac0_0ff5 ^ ((gen as u64) << 16),
         )
-        .map_err(|e| format!("spawn service gen {gen}: {e}"))?;
-        let proxy = match scenario.wire_faults() {
-            Some(faults) => Some(
-                ChaosProxy::spawn(handle.addr(), seed ^ ((gen as u64) << 48), faults)
-                    .map_err(|e| format!("spawn proxy gen {gen}: {e}"))?,
-            ),
-            None => None,
-        };
-        let addr = proxy.as_ref().map_or(handle.addr(), |p| p.addr());
-        let mut client = VmClient::connect_with(
-            addr,
-            ClientConfig {
-                read_timeout: Some(Duration::from_secs(5)),
-                write_timeout: Some(Duration::from_secs(5)),
-                // Pin the jitter stream: the whole run replays by seed.
-                backoff_seed: Some(seed ^ 0xbac0_0ff5 ^ ((gen as u64) << 16)),
-            },
-        )
-        .map_err(|e| format!("connect gen {gen}: {e}"))?;
+        .map_err(|e| format!("gen {gen}: {e}"))?;
 
         let ops_this_gen = if last {
-            schedule.len()
+            plan.schedule.len()
         } else {
-            plan_rng.gen_range(0..=schedule.len())
+            plan.rng.gen_range(0..=plan.schedule.len())
         };
         if matches!(scenario, Scenario::Baseline) {
             // The coalescing fast path: the whole schedule pipelined.
-            let vps: Vec<StoredVp> = schedule.iter().map(|&(m, i)| world[m][i].clone()).collect();
-            let outcomes = client
+            let vps: Vec<StoredVp> = plan
+                .schedule
+                .iter()
+                .map(|&(m, i)| plan.world[m][i].clone())
+                .collect();
+            let outcomes = served
+                .client
                 .submit_pipelined(&vps)
                 .map_err(|e| format!("pipelined submit: {e}"))?;
-            for (&(m, i), out) in schedule.iter().zip(&outcomes) {
+            for (&(m, i), out) in plan.schedule.iter().zip(&outcomes) {
                 ensure!(out.is_ok(), "baseline rejected ({m},{i}): {out:?}");
                 accepted[m].push(i);
-                present[m].insert(i);
             }
             report.ops += vps.len();
         } else {
-            let faultless = scenario.wire_faults().is_none();
-            for &(m, i) in &schedule[..ops_this_gen] {
+            let exact = scenario.wire_faults().is_none();
+            for &(m, i) in &plan.schedule[..ops_this_gen] {
                 if matches!(scenario, Scenario::Gray) && nap_rng.gen_bool(0.15) {
                     // Outlast the server's idle deadline: the session is
                     // reaped and the next op must recover by reconnect.
                     std::thread::sleep(Duration::from_millis(50));
                 }
-                let was_present = present[m].contains(&i);
-                let settled = settle_submit(&mut client, &world[m][i], &mut report.retries)?;
-                if faultless {
-                    // No wire faults → outcomes are exact: survivors
-                    // dedup, lost ops re-accept.
-                    ensure!(
-                        matches!(settled, Settled::Accepted) == !was_present,
-                        "op ({m},{i}): settled {} but {} present",
-                        if matches!(settled, Settled::Accepted) {
-                            "Accepted"
-                        } else {
-                            "Present"
-                        },
-                        if was_present { "was" } else { "was not" },
-                    );
-                }
-                match settled {
-                    Settled::Accepted => {
-                        ensure!(!was_present, "service re-accepted a stored VP ({m},{i})");
-                        accepted[m].push(i);
-                        present[m].insert(i);
-                    }
-                    Settled::Present => {
-                        // Already present — or accepted by an earlier
-                        // attempt of THIS op whose reply was lost.
-                        if !was_present {
-                            accepted[m].push(i);
-                            present[m].insert(i);
-                        }
-                    }
-                }
-                report.ops += 1;
+                settle_and_record(
+                    &mut served.client,
+                    &plan.world,
+                    (m, i),
+                    &mut accepted,
+                    &mut report,
+                    exact,
+                )?;
                 if matches!(scenario, Scenario::Churn) && report.ops.is_multiple_of(5) {
                     // Investigation racing ingest: the maintained graph
                     // (created on the first probe, spliced by every
@@ -631,13 +453,11 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
         if !last {
             // ── Crash: tear everything down with no sync, then injure
             //    the WAL tail at seeded offsets. ───────────────────────
-            drop(client);
-            drop(proxy);
-            drop(handle); // joins workers, releasing their Arc clones
+            drop(served); // joins workers, releasing their Arc clones
             let srv = Arc::try_unwrap(srv)
                 .map_err(|_| "service still holds server references".to_string())?;
             drop(srv); // crash: no sync_wal; Drop releases the dir lock
-            pending = injure(&tmp.0, scenario, &mut accepted, &mut present, &mut plan_rng)?;
+            pending = injure(&tmp.0, scenario, &mut accepted, &mut plan.rng)?;
             report.crashes += 1;
             continue;
         }
@@ -659,26 +479,17 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
                 "maintained graph outlived its evicted minute"
             );
             accepted[0].clear();
-            present[0].clear();
-            let r = srv.submit_trusted(world[0][0].clone());
+            let r = srv.submit_trusted(plan.world[0][0].clone());
             ensure!(r.is_ok(), "re-anchor after sweep rejected: {r:?}");
-            for &(m, i) in schedule.iter().filter(|&&(m, _)| m == 0) {
-                let was_present = present[m].contains(&i);
-                let settled = settle_submit(&mut client, &world[m][i], &mut report.retries)?;
-                match settled {
-                    Settled::Accepted => {
-                        ensure!(!was_present, "service re-accepted a stored VP ({m},{i})");
-                        accepted[m].push(i);
-                        present[m].insert(i);
-                    }
-                    Settled::Present => {
-                        if !was_present {
-                            accepted[m].push(i);
-                            present[m].insert(i);
-                        }
-                    }
-                }
-                report.ops += 1;
+            for &op in plan.schedule.iter().filter(|&&(m, _)| m == 0) {
+                settle_and_record(
+                    &mut served.client,
+                    &plan.world,
+                    op,
+                    &mut accepted,
+                    &mut report,
+                    false,
+                )?;
             }
             ensure!(
                 viewmap_checksum(&srv.build_viewmap_maintained(MinuteId(0), site()))
@@ -689,40 +500,32 @@ fn run_inner(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
 
         // ── Final generation: wire investigations vs the oracle, then
         //    graceful shutdown, reopen, and full equivalence. ──────────
-        let oracle = build_oracle(&world, &accepted, vmcfg)?;
-        for m in 0..minutes {
-            let minute = MinuteId(m as u64);
-            let ids = settle_investigate(&mut client, minute, &mut report.retries)?;
-            ensure!(
-                ids == oracle.investigate(minute, site()),
-                "wire investigation diverged at minute {m}"
-            );
-            report.ops += 1;
-        }
-        drop(client);
-        drop(proxy);
-        drop(handle);
+        let oracle = plan.oracle(&accepted)?;
+        report.ops += check_wire_investigations(
+            &mut served.client,
+            &oracle,
+            &plan.minutes,
+            site(),
+            "final",
+            &mut report.retries,
+        )?;
+        drop(served);
         let srv = Arc::try_unwrap(srv)
             .map_err(|_| "service still holds server references".to_string())?;
-        check_equivalence(&srv, &oracle, minutes, "final live")?;
+        check_equivalence(&srv, &oracle, &plan.minutes, site(), "final live")?;
         srv.sync_wal().map_err(|e| format!("final sync: {e}"))?;
         drop(srv);
 
-        let mut final_rng = StdRng::seed_from_u64(seed ^ 0xf17a1);
-        let (back, rep) = ViewMapServer::open(&mut final_rng, KEY_BITS, vmcfg, &tmp.0, store_cfg)
-            .map_err(|e| format!("final reopen: {e}"))?;
-        track_obs(back.obs());
-        let want_records: usize = accepted.iter().map(|a| 1 + a.len()).sum();
-        ensure!(
-            rep.records == want_records && rep.torn_segments == 0 && rep.truncated_bytes == 0,
-            "graceful reopen: {} records ({} torn, {}B truncated), expected {want_records} clean",
-            rep.records,
-            rep.torn_segments,
-            rep.truncated_bytes
-        );
-        check_equivalence(&back, &oracle, minutes, "final recovered")?;
+        let back = reopen_clean(
+            &tmp.0,
+            records(&accepted),
+            &oracle,
+            &plan.minutes,
+            site(),
+            "final recovered",
+        )?;
         // The full world must have landed by the end of the run.
-        let want_total: usize = world.iter().map(Vec::len).sum();
+        let want_total: usize = plan.world.iter().map(Vec::len).sum();
         ensure!(
             back.total_vps() == want_total,
             "final server holds {} VPs, world has {want_total}",
@@ -776,6 +579,22 @@ fn drive_in_process(
     Ok(())
 }
 
+/// The follower's front-end: reads serve from the replica, mutations
+/// bounce with `NotPrimary` until a promotion flips the shared role.
+fn serve_follower(follower: &Follower, seed: u64) -> Result<Served, String> {
+    serve(
+        follower.server(),
+        ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+        Some(Arc::clone(follower.role())),
+        None,
+        seed ^ 0xbac0_0ff5,
+    )
+    .map_err(|e| format!("follower front-end: {e}"))
+}
+
 /// One seeded run of a replicated pair: a [`Primary`] shipping its WAL
 /// to a [`Follower`], with the scenario choosing what goes wrong on the
 /// replication link (chaos, a held partition, or the primary itself
@@ -785,34 +604,22 @@ fn drive_in_process(
 fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
     use std::sync::atomic::Ordering;
 
-    let tmp = TempDir::new(scenario, seed);
+    let tmp = TempDir::new("vm_vopr", scenario.name(), seed);
     let pdir = tmp.0.join("primary");
     let fdir = tmp.0.join("follower");
     let vmcfg = ViewmapConfig::default();
     let store_cfg = StoreConfig::default();
 
     // ── The seeded plan: same world generator as the single-cell runs.
-    let mut plan_rng = StdRng::seed_from_u64(seed);
-    let minutes = plan_rng.gen_range(2..=3usize);
-    let world: Vec<Vec<StoredVp>> = (0..minutes)
-        .map(|m| linked_minute(plan_rng.gen_range(5..=9), m as u64, seed))
-        .collect();
-    let mut schedule: Vec<(usize, usize)> = Vec::new();
-    let widest = world.iter().map(Vec::len).max().unwrap_or(0);
-    for i in 1..widest {
-        for (m, minute_world) in world.iter().enumerate() {
-            if i < minute_world.len() {
-                schedule.push((m, i));
-            }
-        }
-    }
+    let mut plan = Plan::new(seed);
+    let (world, schedule, minutes) = (&plan.world, &plan.schedule, &plan.minutes);
     // One operator key for the whole group: promotion must inherit the
     // signing identity, or pre-failover cash dies with the primary.
     let mut key_rng = StdRng::seed_from_u64(seed ^ 0x6b65_7921);
     let key = RsaKeyPair::generate(&mut key_rng, REPL_KEY_BITS);
 
     let failover = matches!(scenario, Scenario::Failover);
-    let mut accepted: Vec<Vec<usize>> = vec![Vec::new(); minutes];
+    let mut accepted: Vec<Vec<usize>> = vec![Vec::new(); world.len()];
     let mut report = RunReport {
         scenario,
         seed,
@@ -882,59 +689,45 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
         frep.records
     );
 
-    let client_cfg = ClientConfig {
-        read_timeout: Some(Duration::from_secs(5)),
-        write_timeout: Some(Duration::from_secs(5)),
-        backoff_seed: Some(seed ^ 0xbac0_0ff5),
-    };
-
     match scenario {
         // ── Chaotic link: converge anyway, then serve fenced reads. ──
         Scenario::Replica => {
             drive_in_process(
                 primary.server(),
-                &world,
-                &schedule,
+                world,
+                schedule,
                 &mut accepted,
                 &mut report,
             )?;
             wait_until("follower convergence under chaos", || {
                 converged(primary.server(), follower.server())
             })?;
-            let oracle = build_oracle(&world, &accepted, vmcfg)?;
-            check_equivalence(follower.server(), &oracle, minutes, "converged follower")?;
+            let oracle = plan.oracle(&accepted)?;
+            check_equivalence(
+                follower.server(),
+                &oracle,
+                minutes,
+                site(),
+                "converged follower",
+            )?;
 
-            // The follower's front-end: reads serve from the replica,
-            // mutations bounce with NotPrimary until a promotion that
-            // never comes in this scenario.
-            let handle = VmService::spawn_with_role(
-                Arc::clone(follower.server()),
-                "127.0.0.1:0",
-                ServiceConfig {
-                    workers: 2,
-                    ..ServiceConfig::default()
-                },
-                Some(Arc::clone(follower.role())),
-            )
-            .map_err(|e| format!("spawn follower service: {e}"))?;
-            let mut client = VmClient::connect_with(handle.addr(), client_cfg)
-                .map_err(|e| format!("connect follower service: {e}"))?;
-            match client.submit(&world[0][1]) {
+            // Mutations bounce until a promotion that never comes in
+            // this scenario; reads serve from the replica.
+            let mut served = serve_follower(&follower, seed)?;
+            match served.client.submit(&world[0][1]) {
                 Err(ClientError::Remote(ErrorCode::NotPrimary, _)) => {}
                 other => return Err(format!("follower accepted a mutation: {other:?}")),
             }
             report.ops += 1;
-            for m in 0..minutes {
-                let minute = MinuteId(m as u64);
-                let ids = settle_investigate(&mut client, minute, &mut report.retries)?;
-                ensure!(
-                    ids == oracle.investigate(minute, site()),
-                    "follower wire investigation diverged at minute {m}"
-                );
-                report.ops += 1;
-            }
-            drop(client);
-            drop(handle);
+            report.ops += check_wire_investigations(
+                &mut served.client,
+                &oracle,
+                minutes,
+                site(),
+                "follower",
+                &mut report.retries,
+            )?;
+            drop(served);
 
             finish_replica(
                 follower,
@@ -944,8 +737,6 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
                 &oracle,
                 &accepted,
                 minutes,
-                vmcfg,
-                store_cfg,
                 &mut report,
             )
         }
@@ -957,7 +748,7 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
             let t2 = 2 * schedule.len() / 3;
             drive_in_process(
                 primary.server(),
-                &world,
+                world,
                 &schedule[..t1],
                 &mut accepted,
                 &mut report,
@@ -983,7 +774,7 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
 
             drive_in_process(
                 primary.server(),
-                &world,
+                world,
                 &schedule[t1..t2],
                 &mut accepted,
                 &mut report,
@@ -1003,7 +794,7 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
             valve.set_refusing(false);
             drive_in_process(
                 primary.server(),
-                &world,
+                world,
                 &schedule[t2..],
                 &mut accepted,
                 &mut report,
@@ -1019,8 +810,14 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
                 follower.stats().wire_injuries.load(Ordering::Relaxed) == 0,
                 "transparent link produced wire injuries"
             );
-            let oracle = build_oracle(&world, &accepted, vmcfg)?;
-            check_equivalence(follower.server(), &oracle, minutes, "healed follower")?;
+            let oracle = plan.oracle(&accepted)?;
+            check_equivalence(
+                follower.server(),
+                &oracle,
+                minutes,
+                site(),
+                "healed follower",
+            )?;
 
             // Retention sweep over the live link: the eviction must
             // mirror, and re-driving the minute in its original order
@@ -1041,7 +838,7 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
                 schedule.iter().copied().filter(|&(m, _)| m == 0).collect();
             drive_in_process(
                 primary.server(),
-                &world,
+                world,
                 &redrive,
                 &mut accepted,
                 &mut report,
@@ -1049,7 +846,13 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
             wait_until("post-sweep convergence", || {
                 converged(primary.server(), follower.server())
             })?;
-            check_equivalence(follower.server(), &oracle, minutes, "post-sweep follower")?;
+            check_equivalence(
+                follower.server(),
+                &oracle,
+                minutes,
+                site(),
+                "post-sweep follower",
+            )?;
 
             finish_replica(
                 follower,
@@ -1059,8 +862,6 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
                 &oracle,
                 &accepted,
                 minutes,
-                vmcfg,
-                store_cfg,
                 &mut report,
             )
         }
@@ -1071,7 +872,7 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
             let half = schedule.len() / 2;
             drive_in_process(
                 primary.server(),
-                &world,
+                world,
                 &schedule[..half],
                 &mut accepted,
                 &mut report,
@@ -1080,7 +881,7 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
             // A reward round on the doomed primary: blind-signed cash
             // that must survive the failover.
             let mut secret = [0u8; 8];
-            plan_rng.fill(&mut secret);
+            plan.rng.fill(&mut secret);
             let vp_id = VpId::from_secret(&secret);
             primary.server().post_reward(vp_id, 2);
             let mut wallet = viewmap_core::reward::Wallet::new();
@@ -1109,21 +910,9 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
             drop(proxy);
 
             let stats = Arc::clone(follower.stats());
-            let role = Arc::clone(follower.role());
-            let handle = VmService::spawn_with_role(
-                Arc::clone(follower.server()),
-                "127.0.0.1:0",
-                ServiceConfig {
-                    workers: 2,
-                    ..ServiceConfig::default()
-                },
-                Some(role),
-            )
-            .map_err(|e| format!("spawn follower service: {e}"))?;
-            let mut client = VmClient::connect_with(handle.addr(), client_cfg)
-                .map_err(|e| format!("connect follower service: {e}"))?;
+            let mut served = serve_follower(&follower, seed)?;
             let (m0, i0) = schedule[half];
-            match client.submit(&world[m0][i0]) {
+            match served.client.submit(&world[m0][i0]) {
                 Err(ClientError::Remote(ErrorCode::NotPrimary, _)) => {}
                 other => {
                     return Err(format!(
@@ -1138,45 +927,32 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
 
             // Zero acked-write loss: the promoted buckets hold the
             // anchor plus every acked op, in accepted order.
-            for (m, minute_world) in world.iter().enumerate() {
-                let ids: Vec<VpId> = srv2
-                    .minute_vps(MinuteId(m as u64))
-                    .iter()
-                    .map(|vp| vp.id)
-                    .collect();
-                let want: Vec<VpId> = std::iter::once(minute_world[0].id)
-                    .chain(accepted[m].iter().map(|&i| minute_world[i].id))
-                    .collect();
-                ensure!(
-                    ids == want,
-                    "acked-write loss: promoted minute {m} diverges from the acked prefix"
-                );
-            }
+            plan.ensure_prefix(&srv2, &accepted, "acked-write loss")?;
 
             // The same front-end now accepts: the RoleCell flipped live
-            // under it. Drive the rest of the schedule in epoch 2.
-            for &(m, i) in &schedule[half..] {
-                let settled = settle_submit(&mut client, &world[m][i], &mut report.retries)?;
-                ensure!(
-                    matches!(settled, Settled::Accepted),
-                    "promoted primary deduped a new op ({m},{i})"
-                );
-                accepted[m].push(i);
-                report.ops += 1;
+            // under it. Drive the rest of the schedule in epoch 2, where
+            // every op is new (exact: none may dedup).
+            for &op in &schedule[half..] {
+                settle_and_record(
+                    &mut served.client,
+                    world,
+                    op,
+                    &mut accepted,
+                    &mut report,
+                    true,
+                )?;
             }
-            let oracle = build_oracle(&world, &accepted, vmcfg)?;
-            for m in 0..minutes {
-                let minute = MinuteId(m as u64);
-                let ids = settle_investigate(&mut client, minute, &mut report.retries)?;
-                ensure!(
-                    ids == oracle.investigate(minute, site()),
-                    "promoted wire investigation diverged at minute {m}"
-                );
-                report.ops += 1;
-            }
-            drop(client);
-            drop(handle);
-            check_equivalence(&srv2, &oracle, minutes, "promoted live")?;
+            let oracle = plan.oracle(&accepted)?;
+            report.ops += check_wire_investigations(
+                &mut served.client,
+                &oracle,
+                minutes,
+                site(),
+                "promoted",
+                &mut report.retries,
+            )?;
+            drop(served);
+            check_equivalence(&srv2, &oracle, minutes, site(), "promoted live")?;
 
             // The dead primary's cash redeems exactly once on the new
             // one — the shared signing identity held across promotion.
@@ -1200,24 +976,14 @@ fn run_replicated(scenario: Scenario, seed: u64) -> Result<RunReport, String> {
             srv2.sync_wal().map_err(|e| format!("promoted sync: {e}"))?;
             drop(srv2); // last reference: releases the dir lock
 
-            let mut final_rng = StdRng::seed_from_u64(seed ^ 0x000f_17a1);
-            let (back, rep) =
-                ViewMapServer::open(&mut final_rng, KEY_BITS, vmcfg, &fdir, store_cfg)
-                    .map_err(|e| format!("promoted reopen: {e}"))?;
-            track_obs(back.obs());
-            let want_records: usize = accepted.iter().map(|a| 1 + a.len()).sum();
-            ensure!(
-                rep.records == want_records && rep.torn_segments == 0 && rep.truncated_bytes == 0,
-                "promoted reopen: {} records ({} torn, {}B truncated), expected {want_records} clean",
-                rep.records,
-                rep.torn_segments,
-                rep.truncated_bytes
-            );
-            ensure!(
-                !rep.fresh_signing_key,
-                "promoted reopen minted a fresh key over the group keyfile"
-            );
-            check_equivalence(&back, &oracle, minutes, "promoted recovered")?;
+            let back = reopen_clean(
+                &fdir,
+                records(&accepted),
+                &oracle,
+                minutes,
+                site(),
+                "promoted recovered",
+            )?;
             report.final_vps = back.total_vps();
             Ok(report)
         }
@@ -1238,9 +1004,7 @@ fn finish_replica(
     fdir: &Path,
     oracle: &ViewMapServer,
     accepted: &[Vec<usize>],
-    minutes: usize,
-    vmcfg: ViewmapConfig,
-    store_cfg: StoreConfig,
+    minutes: &[MinuteId],
     report: &mut RunReport,
 ) -> Result<RunReport, String> {
     use std::sync::atomic::Ordering;
@@ -1254,23 +1018,14 @@ fn finish_replica(
     drop(primary);
     drop(proxy);
 
-    let mut final_rng = StdRng::seed_from_u64(report.seed ^ 0x000f_17a1);
-    let (back, rep) = ViewMapServer::open(&mut final_rng, KEY_BITS, vmcfg, fdir, store_cfg)
-        .map_err(|e| format!("follower reopen: {e}"))?;
-    track_obs(back.obs());
-    let want_records: usize = accepted.iter().map(|a| 1 + a.len()).sum();
-    ensure!(
-        rep.records == want_records && rep.torn_segments == 0 && rep.truncated_bytes == 0,
-        "follower reopen: {} records ({} torn, {}B truncated), expected {want_records} clean",
-        rep.records,
-        rep.torn_segments,
-        rep.truncated_bytes
-    );
-    ensure!(
-        !rep.fresh_signing_key,
-        "follower reopen minted a fresh key over the group keyfile"
-    );
-    check_equivalence(&back, oracle, minutes, "follower recovered")?;
+    let back = reopen_clean(
+        fdir,
+        records(accepted),
+        oracle,
+        minutes,
+        site(),
+        "follower recovered",
+    )?;
     report.final_vps = back.total_vps();
     Ok(report.clone())
 }

@@ -40,12 +40,16 @@
 //! plan.
 //!
 //! The catalog lives in [`scenario::Scenario`]; the sweep driver is the
-//! `vm-vopr` binary (`cargo run -p vm-vopr -- --help`).
+//! `vm-vopr` binary (`cargo run -p vm-vopr -- --help`). The oracle
+//! plumbing — settle loops, oracle builder, the one equivalence check,
+//! clean-reopen check, serve helper — is [`kit`], which `vm-scenario`
+//! shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod kit;
 pub mod proxy;
 pub mod scenario;
 
